@@ -41,6 +41,7 @@ import repro.faults.campaign as campaign_mod
 from repro.faults.campaign import run_campaign
 from repro.parallel import RunCache, resolve_jobs, shutdown_pool
 from repro.parallel.pool import _pool_context, get_pool
+from repro.parallel.supervisor import run_supervised
 
 from benchmarks.common import RESULTS_DIR, write_perf_record
 
@@ -75,7 +76,7 @@ def _legacy_call_indexed(item):
     return index, fn(payload)
 
 
-def _legacy_run_tasks(fn, payloads, jobs=None, on_result=None, chunk=None):
+def _legacy_engine(fn, payloads, jobs=None, on_result=None, chunk=None):
     """The retired spawn-a-``Pool``-per-call engine (measurement only).
 
     Fresh pool per invocation, one full payload pickled per task, no
@@ -139,7 +140,7 @@ def _legacy_run_supervised(
         if on_result is not None:
             on_result(index, result)
 
-    return _legacy_run_tasks(fn, payloads, jobs=jobs, on_result=emit)
+    return _legacy_engine(fn, payloads, jobs=jobs, on_result=emit)
 
 
 def _timed_legacy_campaign(**kwargs):
@@ -153,9 +154,8 @@ def _timed_legacy_campaign(**kwargs):
 
 
 def _dispatch_payloads():
-    # A shared context dict of campaign-ish size, so the legacy engine
-    # pays realistic per-task pickling while the codec ships it once
-    # per chunk.
+    # Campaign-sized payload dicts, so both engines pay realistic
+    # per-task pickling; the pooled engine ships them in chunks.
     context = {f"param_{k}": k * 1.5 for k in range(40)}
     return [dict(context, i=i) for i in range(DISPATCH_TASKS)]
 
@@ -211,15 +211,13 @@ def run_parallel_bench() -> dict:
 
     # Pure dispatch: the persistent pool is warm, the legacy engine
     # spawns per call — both run the identical trivial task list.
-    from repro.parallel.pool import run_tasks as pooled_run_tasks
-
     payloads = _dispatch_payloads()
     expected = list(range(DISPATCH_TASKS))
     start = time.perf_counter()
-    legacy_results = _legacy_run_tasks(_dispatch_task, payloads, jobs=4)
+    legacy_results = _legacy_engine(_dispatch_task, payloads, jobs=4)
     dispatch_legacy = time.perf_counter() - start
     start = time.perf_counter()
-    pooled_results = pooled_run_tasks(_dispatch_task, payloads, jobs=4)
+    pooled_results = run_supervised(_dispatch_task, payloads, jobs=4)
     dispatch_pooled = time.perf_counter() - start
     byte_identical &= legacy_results == expected and pooled_results == expected
 

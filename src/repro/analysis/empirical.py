@@ -17,7 +17,7 @@ from repro.core.bounds import (
     theorem51_total_normalized,
     theorem65_total_normalized,
 )
-from repro.parallel.pool import run_tasks
+from repro.parallel.supervisor import run_supervised
 from repro.registers.abd import build_abd_system
 from repro.registers.cas import build_cas_system
 from repro.workload.patterns import measure_peak_storage_with_nu_writes
@@ -87,7 +87,7 @@ def empirical_figure1(
         for curve in ("abd", "cas")
         for nu in nus
     ]
-    measured = run_tasks(_measured_point, points, jobs=jobs, chunk=chunk)
+    measured = run_supervised(_measured_point, points, jobs=jobs, chunk=chunk)
     return {
         "nu": [float(nu) for nu in nus],
         "theorem51": [theorem51_total_normalized(n, f)] * len(nus),

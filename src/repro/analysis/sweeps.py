@@ -9,8 +9,9 @@
   stay ``O(1)`` (so ``o(f)``) while the ABD cost grows like ``f``.
 
 Every sweep row is a pure function of its parameter point, so each
-sweep fans rows out through :func:`repro.parallel.pool.run_tasks`
-(``jobs`` argument / ``REPRO_JOBS``) and the standard grids are
+sweep fans rows out through
+:func:`repro.parallel.supervisor.run_supervised` (``jobs`` argument /
+``REPRO_JOBS``) and the standard grids are
 cacheable as a unit via :func:`run_standard_sweeps` — the engine
 behind ``repro sweep`` and ``benchmarks/bench_sweeps.py``.
 """
@@ -29,7 +30,7 @@ from repro.core.bounds import (
 )
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
-from repro.parallel.pool import run_tasks
+from repro.parallel.supervisor import run_supervised
 from repro.util.intmath import exact_log2
 from repro.util.tables import format_table
 
@@ -55,7 +56,7 @@ def sweep_improvement_ratio(
     chunk: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Ratio of the new bounds to the Singleton bound as ``N`` grows."""
-    return run_tasks(
+    return run_supervised(
         _improvement_row,
         [{"n": n, "f": f} for n in n_values],
         jobs=jobs,
@@ -89,7 +90,7 @@ def sweep_finite_v_convergence(
     Shows the ``o(log|V|)`` corrections washing out: each normalized
     exact bound increases toward its asymptotic coefficient.
     """
-    return run_tasks(
+    return run_supervised(
         _finite_v_row,
         [{"n": n, "f": f, "value_bits": bits} for bits in value_bits_list],
         jobs=jobs,
@@ -123,7 +124,7 @@ def sweep_proportional_f(
     This is the regime where the paper notes its universal bounds are
     ``o(f) log2|V|`` — the gap Question 2 and Theorem 6.5 address.
     """
-    return run_tasks(
+    return run_supervised(
         _proportional_row,
         [{"n": n, "f_fraction": f_fraction} for n in n_values],
         jobs=jobs,

@@ -254,6 +254,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1 (a zero-run campaign proves nothing)")
         return 3  # usage error (2 is reserved for safety violations)
+    if args.ops < 1:
+        print("error: --ops must be >= 1 (a zero-op run proves nothing)")
+        return 3
     if args.byzantine < 0:
         print("error: --byzantine must be >= 0")
         return 3
@@ -323,6 +326,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             journal=journal,
         )
+    except ConfigurationError as exc:
+        print(f"error: {exc}")
+        return 3
     finally:
         if journal is not None:
             journal.close()
@@ -443,7 +449,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.trace_cmd == "capture":
         from repro.faults.campaign import FAULT_SHAPES, generate_fault_configs
-        from repro.parallel.pool import run_tasks
+        from repro.parallel.supervisor import run_supervised
 
         shape_names = [name for name, _ in FAULT_SHAPES]
         if args.shape not in shape_names:
@@ -479,7 +485,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         def collect(index: int, doc: dict) -> None:
             docs[index] = doc
 
-        run_tasks(
+        run_supervised(
             capture_trace_task, payloads,
             jobs=args.jobs, chunk=args.chunk, on_result=collect,
         )
@@ -580,7 +586,7 @@ def _metrics_batch(args: argparse.Namespace) -> int:
 
     from repro.obs.report import storage_bound_rows
     from repro.obs.runner import merge_registries
-    from repro.parallel.pool import run_tasks
+    from repro.parallel.supervisor import run_supervised
 
     payloads = [
         {
@@ -596,7 +602,7 @@ def _metrics_batch(args: argparse.Namespace) -> int:
         }
         for seed in range(args.seed, args.seed + args.runs)
     ]
-    results = run_tasks(
+    results = run_supervised(
         _metrics_task, payloads, jobs=args.jobs, chunk=args.chunk
     )
     merged = merge_registries(r["registry"] for r in results)
@@ -865,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  0    every run acceptable\n"
             "  1    liveness failure(s) (no safety violation)\n"
             "  2    safety violation(s)\n"
-            "  3    usage error (bad flags, unresumable journal)\n"
+            "  3    usage error (bad flags or parameters, unresumable journal)\n"
             "  4    quarantined run(s) only — nothing failed, but runs "
             "timed out unproven\n"
             "  130  interrupted (Ctrl-C); partial artifacts written, "

@@ -46,7 +46,7 @@ from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.journal import CampaignJournal
 from repro.parallel.pool import UNSET
-from repro.parallel.stats import ENGINE_STATS
+from repro.parallel.stats import engine_counters
 from repro.parallel.supervisor import DEFAULT_MAX_RETRIES, run_supervised
 from repro.registers.base import SystemHandle
 from repro.registers.catalog import build_client_system
@@ -1199,7 +1199,7 @@ def run_campaign(
         for config in configs
     ]
     keys = [campaign_task_key(payload) for payload in tasks]
-    stats_before = ENGINE_STATS.snapshot()
+    counters_before = engine_counters()
 
     # Slots start at the UNSET sentinel, not None: a cache miss returns
     # None, and a (hypothetical) task result could itself be falsy, so
@@ -1281,7 +1281,10 @@ def run_campaign(
         report.results.append(result)
         if fail_fast and not result.acceptable:
             break
-    report.runtime = ENGINE_STATS.delta_since(stats_before)
+    report.runtime = {
+        name: value - counters_before[name]
+        for name, value in engine_counters().items()
+    }
     return report
 
 

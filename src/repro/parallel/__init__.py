@@ -3,35 +3,32 @@
 Every heavy workload in this repository — chaos campaigns, theorem
 benches, parameter sweeps — is a collection of *independent* seeded
 runs: each run is a pure function of ``(algorithm, N, f, |V|, seed,
-fault config)``.  This package exploits that in three layers:
+fault config)``.  This package exploits that with one dispatch engine
+and the storage around it:
 
-* :mod:`repro.parallel.pool` — a **persistent** ``multiprocessing``
-  worker pool (created once per process, reused by every
-  ``run_tasks`` call) that fans tasks out in **chunks** and
-  reassembles results **in task order** (results are collected keyed
-  by task index), so a 4-worker campaign report is byte-identical to
-  the serial one.  ``--jobs 1`` (the default) runs in-process with no
-  pool at all.
-* :mod:`repro.parallel.codec` — the shared-prefix payload codec:
-  homogeneous task payloads ship as one per-chunk context plus small
-  per-task deltas instead of full re-pickled dicts.
+* :mod:`repro.parallel.supervisor` — :func:`run_supervised`, the only
+  dispatch engine: indexed tasks fanned out in chunks, results slotted
+  back **in task order**, so a 4-worker report is byte-identical to
+  the serial one; plus per-run timeouts (``REPRO_TASK_TIMEOUT``),
+  dead-worker recovery, bounded retry with deterministic backoff,
+  poison-run quarantine and fail-fast cancellation.
+* :mod:`repro.parallel.pool` — the **persistent** ``multiprocessing``
+  worker pool (created once per process, reused by every batch) and
+  the ``--jobs``/``--chunk`` resolution rules.  ``--jobs 1`` (the
+  default) runs in-process with no pool at all.
 * :mod:`repro.parallel.cache` — a content-addressed run cache under
   ``benchmarks/.cache/``: the key hashes the task parameters, the seed,
   and a fingerprint of the ``src/repro`` source tree
   (:mod:`repro.parallel.fingerprint`), so results survive re-runs but
   never survive a code change.
-* :mod:`repro.parallel.supervisor` — self-healing dispatch over the
-  pool: per-run wall-clock timeouts (``REPRO_TASK_TIMEOUT``), kill and
-  replace hung/dead workers, bounded retry with deterministic backoff,
-  poison-run quarantine, and fail-fast cancellation.
 * :mod:`repro.parallel.journal` — the crash-safe campaign journal
   (``repro.journal/1``) under ``benchmarks/.journal/``: an append-only
   record of completed runs, so ``repro chaos --resume`` continues a
   killed campaign byte-identically.
-* :mod:`repro.parallel.stats` — process-wide engine counters
-  (``parallel.timeouts/retries/quarantined/fallbacks``) plus the
-  warn-once stderr channel, so degradation is observable instead of
-  silent.
+* :mod:`repro.parallel.stats` — the engine counters
+  (``parallel.timeouts/retries/quarantined/fallbacks``, held in a
+  process-wide ``MetricsRegistry``) plus the warn-once stderr channel,
+  so degradation is observable instead of silent.
 
 See ``docs/parallelism.md`` for the determinism contract, the pool
 lifecycle, chunk sizing, the cache key design, and the resilience
@@ -39,7 +36,6 @@ semantics.
 """
 
 from repro.parallel.cache import DEFAULT_CACHE_DIR, RunCache
-from repro.parallel.codec import PayloadCodec
 from repro.parallel.fingerprint import FINGERPRINT_ENV, code_fingerprint
 from repro.parallel.journal import (
     DEFAULT_JOURNAL_DIR,
@@ -53,10 +49,9 @@ from repro.parallel.pool import (
     pool_workers,
     resolve_chunk,
     resolve_jobs,
-    run_tasks,
     shutdown_pool,
 )
-from repro.parallel.stats import ENGINE_STATS, EngineStats, warn_once
+from repro.parallel.stats import ENGINE_STATS, engine_counters, warn_once
 from repro.parallel.supervisor import (
     DEFAULT_MAX_RETRIES,
     TASK_TIMEOUT_ENV,
@@ -71,21 +66,19 @@ __all__ = [
     "DEFAULT_JOURNAL_DIR",
     "DEFAULT_MAX_RETRIES",
     "ENGINE_STATS",
-    "EngineStats",
     "FINGERPRINT_ENV",
     "JOBS_ENV",
     "JOURNAL_SCHEMA",
-    "PayloadCodec",
     "RunCache",
     "TASK_TIMEOUT_ENV",
     "UNSET",
     "code_fingerprint",
+    "engine_counters",
     "pool_workers",
     "resolve_chunk",
     "resolve_jobs",
     "resolve_task_timeout",
     "run_supervised",
-    "run_tasks",
     "shutdown_pool",
     "warn_once",
 ]

@@ -1,51 +1,26 @@
-"""Persistent worker pool with chunked, deterministic task fan-out.
+"""Persistent worker pool and job/chunk resolution.
 
-The engine's contract is *byte-determinism*: for any task list, the
-result list (and every ``on_result`` callback) is identical whether the
-tasks ran serially, on 2 workers, or on 16 — worker completion order
-never leaks into output order.  That holds because
+This module owns the pool's lifecycle and the two sizing knobs; the
+dispatch loop that feeds it is
+:func:`repro.parallel.supervisor.run_supervised`.
 
-* tasks are dispatched with their index attached,
-* results are collected keyed by that index, and
-* ``on_result`` fires only for the contiguous completed prefix, i.e.
-  in task order.
-
-Three mechanisms make the engine *fast* as well as correct (the
-spawn-a-``Pool``-per-call predecessor recorded a parallel "speedup" of
-0.538 — slower than serial — because interpreter start + import cost
-was paid on every ``run_tasks`` call):
-
-1. **Persistent pool.**  The worker pool is created once per process
-   and reused by every subsequent ``run_tasks`` call — CLI verb,
-   campaign, shrinker round, metrics batch, trace capture.  It grows
-   (by recreation) when a call asks for more workers than it has, and
-   is torn down at interpreter exit (or explicitly via
-   :func:`shutdown_pool`).
-2. **Chunked dispatch.**  Tasks cross the IPC boundary in chunks of
-   :func:`resolve_chunk` indexed tasks per round (``REPRO_CHUNK`` /
-   ``--chunk``; auto-sized to ~4 chunks per worker by default), so a
-   600-task campaign costs ~tens of round trips, not 600.
-3. **Compact payloads.**  Dict payloads are split by
-   :class:`repro.parallel.codec.PayloadCodec` into one shared context
-   plus per-task deltas; the context is serialized once per chunk
-   (pickle memoization), so campaign tasks ship small deltas instead
-   of re-pickling full builder/fault-config dicts per task.
-
-Task functions must be module-level (picklable by reference), task
-payloads picklable plain data, and neither may be mutated by the task
-function — decoded payloads within a chunk share context objects.
-Both constraints are satisfied by the plain-dict payloads the
-campaign/sweep integrations use.
-
-Job-count resolution: an explicit ``jobs`` argument wins; otherwise the
-``REPRO_JOBS`` environment variable; otherwise 1 (serial, in-process —
-no pool, no fork, no pickling).  ``jobs <= 0`` — from either source —
-means "one worker per CPU".  A malformed ``REPRO_JOBS`` is ignored
-rather than fatal.
-
-If the host forbids worker pools (sandboxed semaphores) or a worker
-dies mid-flight, the engine degrades to in-process serial execution of
-whatever is still missing — same results, same callback order.
+* **One pool per process.**  :func:`get_pool` creates the pool on
+  first use (``fork`` start method where available, so workers inherit
+  the loaded interpreter) and every later batch reuses it — CLI verb,
+  campaign, shrinker round, metrics batch, trace capture.  It grows
+  (by recreation) when a batch asks for more workers than it has, and
+  is torn down at interpreter exit or explicitly via
+  :func:`shutdown_pool`.  The spawn-a-``Pool``-per-call predecessor
+  paid interpreter start and import cost on every call and recorded a
+  parallel "speedup" of 0.538 — slower than serial.
+* **Job count** (:func:`resolve_jobs`): an explicit ``jobs`` argument
+  wins; otherwise ``REPRO_JOBS``; otherwise 1 (serial, in-process —
+  no pool, no fork, no pickling).  ``jobs <= 0`` — from either source —
+  means "one worker per CPU".  A malformed ``REPRO_JOBS`` is ignored.
+* **Chunk size** (:func:`resolve_chunk`): tasks cross the IPC boundary
+  in chunks (``REPRO_CHUNK`` / ``--chunk``; auto-sized to ~4 chunks
+  per worker), so a 600-task campaign costs tens of round trips, not
+  600.  Chunking changes IPC cost only, never output.
 """
 
 from __future__ import annotations
@@ -53,10 +28,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.parallel.codec import PayloadCodec
-from repro.parallel.stats import ENGINE_STATS, warn_once
+from typing import Optional, Tuple
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV = "REPRO_JOBS"
@@ -69,17 +41,14 @@ CHUNK_ENV = "REPRO_CHUNK"
 #: of the pool for long.
 _CHUNKS_PER_WORKER = 4
 
-#: Auto-chunk ceiling: beyond this, bigger chunks stop paying (the
-#: shared context is already amortized) and only add result latency.
+#: Auto-chunk ceiling: beyond this, bigger chunks stop amortizing IPC
+#: and only add result latency.
 _MAX_AUTO_CHUNK = 64
 
 #: Distinct-from-anything marker for "this slot has no result yet".
 #: ``None`` (or any falsy value) is a legitimate task result, so slot
 #: bookkeeping must never use it as the emptiness test.
 UNSET = object()
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -123,20 +92,6 @@ def resolve_chunk(
         target = max(1, workers) * _CHUNKS_PER_WORKER
         chunk = min(_MAX_AUTO_CHUNK, -(-max(0, tasks) // target) or 1)
     return max(1, int(chunk))
-
-
-def _run_chunk(chunk):
-    """Worker-side shim: run one chunk of indexed tasks.
-
-    ``chunk`` is ``(fn, codec, [(index, delta), ...])``; the codec is
-    ``None`` when payloads were shipped verbatim.  Returns
-    ``[(index, result), ...]`` so the parent can slot results back in
-    task order no matter which worker (or chunk) finished first.
-    """
-    fn, codec, items = chunk
-    if codec is None:
-        return [(index, fn(payload)) for index, payload in items]
-    return [(index, fn(codec.decode(delta))) for index, delta in items]
 
 
 def _pool_context():
@@ -194,104 +149,3 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def _discard_pool() -> None:
-    """Drop a broken pool so the next call starts fresh."""
-    shutdown_pool()
-
-
-def run_tasks(
-    fn: Callable[[T], R],
-    payloads: Sequence[T],
-    jobs: Optional[int] = None,
-    on_result: Optional[Callable[[int, R], None]] = None,
-    chunk: Optional[int] = None,
-) -> List[R]:
-    """Run ``fn`` over ``payloads``; return results in payload order.
-
-    ``on_result(index, result)`` — when given — is invoked in strict
-    task order regardless of which worker finished first, so progress
-    output is as deterministic as the result list.
-
-    With an effective job count of 1 (or a single task) everything runs
-    in-process: no subprocesses, no pickling, identical semantics.
-    Otherwise tasks are dispatched to the persistent pool in chunks of
-    ``chunk`` (``REPRO_CHUNK`` / auto) with codec-compacted payloads.
-    If the pool cannot be created, or breaks mid-flight, the missing
-    results are computed serially in-process — the output (and the
-    ``on_result`` order) is identical either way.
-    """
-    payloads = list(payloads)
-    if not payloads:
-        return []
-    workers = min(resolve_jobs(jobs), len(payloads))
-    if workers <= 1:
-        results: List[R] = []
-        for index, payload in enumerate(payloads):
-            result = fn(payload)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results
-
-    slots: List[R] = [UNSET] * len(payloads)  # type: ignore[list-item]
-    next_emit = 0
-
-    def emit_ready_prefix() -> None:
-        nonlocal next_emit
-        while next_emit < len(slots) and slots[next_emit] is not UNSET:
-            if on_result is not None:
-                on_result(next_emit, slots[next_emit])
-            next_emit += 1
-
-    try:
-        pool = get_pool(workers)
-    except (OSError, PermissionError, ValueError):
-        # Sandboxed semaphores / forbidden subprocesses: degrade to the
-        # serial path below — observably (counter + one stderr line),
-        # never silently.
-        pool = None
-        ENGINE_STATS.inc("fallbacks")
-        warn_once(
-            "pool-create",
-            "repro.parallel: worker pool unavailable in this environment; "
-            "running serially in-process",
-        )
-
-    if pool is not None:
-        chunk_size = resolve_chunk(chunk, len(payloads), workers)
-        codec, deltas = PayloadCodec.train(payloads)
-        chunks = [
-            (
-                fn,
-                codec,
-                [
-                    (index, deltas[index])
-                    for index in range(start, min(start + chunk_size, len(deltas)))
-                ],
-            )
-            for start in range(0, len(deltas), chunk_size)
-        ]
-        try:
-            for chunk_results in pool.imap_unordered(_run_chunk, chunks):
-                for index, result in chunk_results:
-                    slots[index] = result
-                emit_ready_prefix()
-        except Exception:
-            # A worker died (or the pool broke) mid-flight: drop the
-            # pool and fall through to fill the remaining slots
-            # serially.  Already-emitted callbacks are never replayed.
-            _discard_pool()
-            ENGINE_STATS.inc("fallbacks")
-            warn_once(
-                "pool-died",
-                "repro.parallel: worker pool died mid-flight; completing "
-                "the remaining tasks serially in-process",
-            )
-
-    for index, payload in enumerate(payloads):
-        if slots[index] is UNSET:
-            slots[index] = fn(payload)
-    emit_ready_prefix()
-    return slots

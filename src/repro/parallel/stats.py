@@ -2,12 +2,9 @@
 
 The parallel engine degrades gracefully by design — a sandbox that
 forbids worker pools falls back to in-process serial execution, a hung
-run is killed and retried, a poison run is quarantined.  Every one of
-those events used to be invisible: the campaign produced the right
-bytes and nobody learned the engine had been limping.  This module is
-the ledger those events write to.
-
-Four counters, all process-wide (:data:`ENGINE_STATS`):
+run is killed and retried, a poison run is quarantined.  Each of those
+events increments one counter of :data:`ENGINE_STATS`, a process-wide
+:class:`repro.obs.registry.MetricsRegistry`:
 
 * ``parallel.timeouts`` — task executions killed at the per-run
   wall-clock timeout (one increment per killed slot, including every
@@ -17,16 +14,17 @@ Four counters, all process-wide (:data:`ENGINE_STATS`):
 * ``parallel.quarantined`` — slots that exhausted ``--max-retries``
   and were recorded with a ``quarantined`` verdict instead of a result;
 * ``parallel.fallbacks`` — times the engine abandoned the worker pool
-  and completed work serially in-process (pool creation refused,
-  worker death, repeated rebuild failures).
+  and completed work serially in-process (pool creation refused, or
+  a pool that kept dying).
 
-:func:`repro.faults.campaign.run_campaign` snapshots the counters
-around a campaign and publishes the delta as the report's ``runtime``
+:func:`repro.faults.campaign.run_campaign` reads the counters around a
+campaign and publishes the difference as the report's ``runtime``
 section (the ``runtime`` key of ``repro chaos --json`` and the
 ``engine:`` footer line of the text report).  On a healthy engine
 every counter is zero, so the byte-determinism contract is untouched;
 when the engine degrades, the bytes *should* differ — that is the
-observability.
+observability.  Counters are only incremented from the supervising
+process, never from workers.
 
 :func:`warn_once` is the stderr half: each degradation category warns
 exactly once per process, so a 10,000-run campaign with a dead sandbox
@@ -38,6 +36,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, Set
 
+from repro.obs.registry import MetricsRegistry
+
 #: Counter names, in the order reports print them.
 COUNTER_NAMES = (
     "parallel.timeouts",
@@ -46,43 +46,18 @@ COUNTER_NAMES = (
     "parallel.fallbacks",
 )
 
-
-class EngineStats:
-    """A tiny process-wide counter bundle (no locks needed: counters
-    are only incremented from the supervising process, never from
-    workers)."""
-
-    __slots__ = ("counters",)
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        key = name if name.startswith("parallel.") else f"parallel.{name}"
-        self.counters[key] = self.counters.get(key, 0) + amount
-
-    def get(self, name: str) -> int:
-        key = name if name.startswith("parallel.") else f"parallel.{name}"
-        return self.counters.get(key, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A copy of the current counter values."""
-        return dict(self.counters)
-
-    def delta_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
-        """Counter increments since ``snapshot``, all names present."""
-        return {
-            name: self.counters.get(name, 0) - snapshot.get(name, 0)
-            for name in COUNTER_NAMES
-        }
-
-    def reset(self) -> None:
-        for name in list(self.counters):
-            self.counters[name] = 0
-
-
 #: The process-wide ledger every engine component writes to.
-ENGINE_STATS = EngineStats()
+ENGINE_STATS = MetricsRegistry()
+for _name in COUNTER_NAMES:
+    ENGINE_STATS.counter(_name)
+
+
+def engine_counters(
+    registry: MetricsRegistry = ENGINE_STATS,
+) -> Dict[str, int]:
+    """The four engine counter values of ``registry``, all names present."""
+    return {name: registry.counter(name).value for name in COUNTER_NAMES}
+
 
 #: Keys that have already warned this process (see :func:`warn_once`).
 _WARNED: Set[str] = set()

@@ -1,16 +1,39 @@
-"""Self-healing task supervision over the persistent worker pool.
+"""The dispatch engine: supervised, task-ordered fan-out over the pool.
 
-:func:`run_supervised` is the resilient sibling of
-:func:`repro.parallel.pool.run_tasks`: same contract (indexed tasks,
-results slotted by index, ``on_result`` fired only for the contiguous
-completed prefix, byte-identical output at any job count and chunk
-size) plus four survival properties the bare pool lacks:
+:func:`run_supervised` is the one way this repository fans independent
+runs out — campaigns, sweeps, the empirical Figure 1, shrinker rounds,
+metrics batches and trace captures all call it.  Its contract is
+*byte-determinism*: for any task list, the result list (and every
+``on_result`` callback) is identical whether the tasks ran serially,
+on 2 workers or on 16, at any chunk size — worker completion order
+never leaks into output order.  That holds because
+
+* tasks are dispatched in chunks with their index attached,
+* results are slotted back by that index, and
+* ``on_result`` fires only for the contiguous completed prefix, i.e.
+  in task order.
+
+Chunks ship as ``(fn, [(index, payload), ...])``; pickle's memo shares
+sub-objects common to a chunk's payloads.  Task functions must be
+module-level (picklable by reference) and payloads picklable plain
+data.  With one worker and no timeout everything runs in-process: no
+pool, no fork, no pickling.
+
+On top of the contract the engine survives misbehaving work:
 
 * **Per-run wall-clock timeouts.**  Each dispatch chunk carries a
   deadline of ``task_timeout`` seconds per task (plus a fixed grace).
-  A chunk past its deadline means a hung or dead worker: the pool is
-  torn down (killing the stragglers), the chunk's unfinished slots are
+  A chunk past its deadline means a hung worker: the pool is torn
+  down (killing the stragglers), the chunk's unfinished slots are
   charged one failure each, and the pool is rebuilt.
+* **Dead-worker recovery.**  A worker killed mid-task (SIGKILL, the
+  OOM killer, ``os._exit``) never reports back, and
+  ``multiprocessing.Pool`` silently replaces it.  The engine records
+  the worker pid set whenever it builds or rebuilds the pool and
+  treats a changed set as a broken pool: the pool is rebuilt and the
+  lost slots re-queued uncharged.  The check runs on every completion
+  and at least once a second, so a dead worker is noticed with
+  timeouts disabled too.
 * **Bounded retry with deterministic backoff.**  A timed-out slot is
   re-queued as a *singleton* chunk (so a poison run can no longer take
   innocent neighbours down with it) after ``backoff_base * 2**(k-1)``
@@ -24,8 +47,7 @@ size) plus four survival properties the bare pool lacks:
   10,000-run campaign.
 * **Cancellation.**  ``on_result`` may return a truthy value to stop
   the batch (the campaign's ``--fail-fast``): dispatch stops and the
-  pool is terminated, cancelling in-flight work — fail-fast no longer
-  forces the serial path.
+  pool is terminated, cancelling in-flight work.
 
 Completion is reported twice, deliberately: ``on_complete(index,
 result)`` fires the moment a slot fills, in *completion* order — the
@@ -33,11 +55,12 @@ campaign journal's hook, so a crash loses at most the in-flight chunks
 — while ``on_result`` keeps the strict task-order contract progress
 output and fail-fast depend on.
 
-Degradation mirrors the pool's: if a pool cannot be created (or keeps
-dying beyond ``_POOL_REBUILD_LIMIT``), the remaining slots run
-serially in-process — counted in ``parallel.fallbacks`` and warned
-once on stderr, with timeouts unenforced (a single process cannot
-interrupt itself mid-simulation).
+If a pool cannot be created (or keeps dying beyond
+``_POOL_REBUILD_LIMIT``), the remaining slots run serially in-process
+— counted in ``parallel.fallbacks`` and warned once on stderr, with
+timeouts unenforced (a single process cannot interrupt itself
+mid-simulation).  A task function that raises is a task bug, not a
+pool failure: the exception propagates.
 
 The timeout resolves like every other engine knob: explicit argument,
 else ``REPRO_TASK_TIMEOUT``, else disabled; malformed or non-positive
@@ -52,16 +75,15 @@ import time
 from collections import deque
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.parallel.codec import PayloadCodec
+from repro.obs.registry import MetricsRegistry
 from repro.parallel.pool import (
     UNSET,
-    _run_chunk,
     get_pool,
     resolve_chunk,
     resolve_jobs,
     shutdown_pool,
 )
-from repro.parallel.stats import ENGINE_STATS, EngineStats, warn_once
+from repro.parallel.stats import ENGINE_STATS, warn_once
 
 #: Environment variable consulted when no explicit timeout is given.
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
@@ -88,6 +110,22 @@ _POOL_REBUILD_LIMIT = 3
 #: Upper bound on one wait when nothing has a nearer deadline, so dead
 #: workers are noticed even with timeouts disabled.
 _LIVENESS_POLL = 1.0
+
+
+def _run_chunk(chunk):
+    """Worker-side shim: run one chunk of indexed tasks.
+
+    ``chunk`` is ``(fn, [(index, payload), ...])``; returns ``[(index,
+    result), ...]`` so the parent can slot results back in task order
+    no matter which worker (or chunk) finished first.
+    """
+    fn, items = chunk
+    return [(index, fn(payload)) for index, payload in items]
+
+
+def _worker_pids(pool) -> frozenset:
+    """Pids of ``pool``'s worker processes (empty for pool stand-ins)."""
+    return frozenset(p.pid for p in getattr(pool, "_pool", None) or ())
 
 
 def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
@@ -145,7 +183,7 @@ def run_supervised(
     on_result: Optional[Callable[[int, Any], Optional[bool]]] = None,
     on_complete: Optional[Callable[[int, Any], None]] = None,
     quarantine: Optional[Callable[[int, Any, int], Any]] = None,
-    stats: EngineStats = ENGINE_STATS,
+    stats: MetricsRegistry = ENGINE_STATS,
     backoff_base: float = BACKOFF_BASE,
 ) -> List[Any]:
     """Run ``fn`` over ``payloads`` under supervision; see module doc.
@@ -214,7 +252,7 @@ def run_supervised(
     except (OSError, PermissionError, ValueError):
         pool = None
     if pool is None:
-        stats.inc("fallbacks")
+        stats.inc("parallel.fallbacks")
         warn_once(
             "supervisor-pool-create",
             "repro.parallel: worker pool unavailable in this environment; "
@@ -223,8 +261,8 @@ def run_supervised(
         run_serially(enforce_note=True)
         return slots
 
+    pids = _worker_pids(pool)
     chunk_size = resolve_chunk(chunk, len(payloads), workers)
-    codec, deltas = PayloadCodec.train(payloads)
 
     ready: deque = deque(
         _WorkChunk(list(range(start, min(start + chunk_size, len(payloads)))))
@@ -248,7 +286,7 @@ def run_supervised(
     max_inflight = workers
 
     def submit(work: _WorkChunk, now: float) -> None:
-        item = (fn, codec, [(pos, deltas[pos]) for pos in work.positions])
+        item = (fn, [(pos, payloads[pos]) for pos in work.positions])
         deadline = (
             None
             if timeout is None
@@ -294,10 +332,10 @@ def run_supervised(
             # The pool died around it; the slot itself is blameless.
             ready.append(_WorkChunk([position]))
             return
-        stats.inc("timeouts")
+        stats.inc("parallel.timeouts")
         failures[position] = failures.get(position, 0) + 1
         if failures[position] < retry_budget:
-            stats.inc("retries")
+            stats.inc("parallel.retries")
             delayed.append(
                 _WorkChunk(
                     [position],
@@ -305,7 +343,7 @@ def run_supervised(
                 )
             )
             return
-        stats.inc("quarantined")
+        stats.inc("parallel.quarantined")
         if quarantine is None:
             raise TimeoutError(
                 f"task {position} exceeded the {timeout:g}s timeout "
@@ -319,10 +357,11 @@ def run_supervised(
             on_complete(position, value)
 
     def pool_broken() -> bool:
-        procs = getattr(pool, "_pool", None)
-        if not procs:
-            return False
-        return any(not p.is_alive() for p in procs)
+        """A worker died: the pool replaced it, or has yet to."""
+        procs = getattr(pool, "_pool", None) or ()
+        return _worker_pids(pool) != pids or any(
+            not p.is_alive() for p in procs
+        )
 
     try:
         while filled < len(payloads) and not stop:
@@ -404,10 +443,11 @@ def run_supervised(
                 else:
                     try:
                         pool = get_pool(workers)
+                        pids = _worker_pids(pool)
                     except (OSError, PermissionError, ValueError):
                         pool = None
                 if pool is None:
-                    stats.inc("fallbacks")
+                    stats.inc("parallel.fallbacks")
                     warn_once(
                         "supervisor-pool-lost",
                         "repro.parallel: worker pool kept failing; "

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.obs.recorder import NO_OP
 from repro.parallel.cache import RunCache
-from repro.parallel.pool import run_tasks
+from repro.parallel.supervisor import run_supervised
 from repro.triage.bundle import ReproBundle
 from repro.triage.replay import (
     _replay_task,
@@ -169,7 +169,7 @@ class _Shrinker:
                     self.result.cache_hits += 1
                     self.observer.registry.inc("triage.shrink.cache_hits")
         pending = [i for i in range(len(payloads)) if results[i] is None]
-        fresh = run_tasks(
+        fresh = run_supervised(
             _replay_task,
             [payloads[i] for i in pending],
             jobs=self.jobs,

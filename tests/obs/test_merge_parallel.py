@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import _metrics_task
 from repro.obs.runner import merge_registries
-from repro.parallel import run_tasks
+from repro.parallel import run_supervised
 
 
 def _payload(seed):
@@ -56,8 +56,8 @@ class TestMergeArithmetic:
 class TestFoldDeterminism:
     def test_parallel_fold_matches_serial(self):
         payloads = [_payload(seed) for seed in range(4)]
-        serial = run_tasks(_metrics_task, payloads, jobs=1)
-        parallel = run_tasks(_metrics_task, payloads, jobs=2)
+        serial = run_supervised(_metrics_task, payloads, jobs=1)
+        parallel = run_supervised(_metrics_task, payloads, jobs=2)
 
         assert [r["seed"] for r in parallel] == [r["seed"] for r in serial]
         assert [r["steps"] for r in parallel] == [r["steps"] for r in serial]

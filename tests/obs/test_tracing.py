@@ -18,7 +18,7 @@ from repro.obs.tracing import (
     trace_document,
     validate_trace_document,
 )
-from repro.parallel.pool import run_tasks
+from repro.parallel.supervisor import run_supervised
 from repro.registers.catalog import build_client_system
 
 
@@ -233,7 +233,7 @@ class TestEndToEnd:
             def collect(index, doc):
                 docs[index] = doc
 
-            run_tasks(
+            run_supervised(
                 capture_trace_task,
                 [dict(p) for p in payloads],
                 jobs=jobs,

@@ -1,26 +1,37 @@
 """The engine's byte-determinism contract: task order in, task order out.
 
 Also the persistence contract (one pool per process, reused across
-``run_tasks`` calls, grown by recreation) and the degradation contract
-(sandboxed semaphores or a mid-flight pool failure fall back to
-in-process serial execution with identical output).
+``run_supervised`` batches, grown by recreation) and the degradation
+contract (sandboxed semaphores fall back to in-process serial
+execution with identical output; a worker that dies mid-task is
+replaced without losing or duplicating results).
 """
 
+import itertools
+import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 import repro.parallel.pool as pool_mod
+import repro.parallel.supervisor as sup_mod
 from repro.parallel import (
     CHUNK_ENV,
     JOBS_ENV,
     UNSET,
+    engine_counters,
     pool_workers,
     resolve_chunk,
     resolve_jobs,
-    run_tasks,
+    run_supervised,
     shutdown_pool,
 )
+from repro.parallel.stats import reset_warnings
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
 def square(x):
@@ -36,6 +47,23 @@ def falsy_result(payload):
     return [None, 0, "", []][payload % 4]
 
 
+def exit_once(payload):
+    """Kills its worker on the first execution of value 7 (marker file
+    absent), as SIGKILL or the OOM killer would; succeeds after.
+
+    The death comes late, after every other chunk has landed, so no
+    completion wakes the engine before ``multiprocessing.Pool`` has
+    quietly respawned the worker.
+    """
+    marker = payload["marker"]
+    if payload["value"] == 7 and not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8"):
+            pass
+        time.sleep(0.3)
+        os._exit(1)
+    return payload["value"] * payload["value"]
+
+
 CALLS = []
 
 
@@ -48,21 +76,37 @@ def record_call(payload):
 class _InProcessPool:
     """A fake pool running chunks in-process — call counts are visible."""
 
-    def imap_unordered(self, fn, iterable):
-        return (fn(item) for item in iterable)
+    def apply_async(self, fn, args, callback=None, error_callback=None):
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            error_callback(exc)
+        else:
+            callback(result)
 
 
-class _DyingPool:
-    """A fake pool that delivers some chunks, then dies mid-flight."""
+class _Worker:
+    def __init__(self, pid):
+        self.pid = pid
 
-    def __init__(self, deliver_chunks):
-        self.deliver_chunks = deliver_chunks
+    def is_alive(self):
+        return True
 
-    def imap_unordered(self, fn, iterable):
-        for i, item in enumerate(iterable):
-            if i >= self.deliver_chunks:
-                raise RuntimeError("worker died mid-flight")
-            yield fn(item)
+
+class _DeadWorkerPool:
+    """A fake pool whose worker has been replaced whenever it is looked
+    at: submitted chunks never come back, as with a worker killed
+    mid-task that ``multiprocessing.Pool`` silently respawned."""
+
+    def __init__(self):
+        self._pids = itertools.count()
+
+    @property
+    def _pool(self):
+        return [_Worker(next(self._pids))]
+
+    def apply_async(self, fn, args, callback=None, error_callback=None):
+        pass
 
 
 class TestResolveJobs:
@@ -131,33 +175,37 @@ class TestResolveChunk:
 
 
 class TestRunTasks:
+    """Task-ordered dispatch through the one engine, ``run_supervised``."""
+
     def test_empty(self):
-        assert run_tasks(square, []) == []
+        assert run_supervised(square, []) == []
 
     def test_serial_preserves_order(self):
-        assert run_tasks(square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert run_supervised(square, [3, 1, 2], jobs=1) == [9, 1, 4]
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_matches_serial(self, jobs):
         payloads = [{"name": f"t{i}", "value": i} for i in range(9)]
-        serial = run_tasks(describe, payloads, jobs=1)
-        parallel = run_tasks(describe, payloads, jobs=jobs)
+        serial = run_supervised(describe, payloads, jobs=1)
+        parallel = run_supervised(describe, payloads, jobs=jobs)
         assert parallel == serial
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 0])
     def test_chunk_size_never_affects_output(self, chunk):
         payloads = [{"name": f"t{i}", "value": i} for i in range(9)]
-        serial = run_tasks(describe, payloads, jobs=1)
-        assert run_tasks(describe, payloads, jobs=3, chunk=chunk) == serial
+        serial = run_supervised(describe, payloads, jobs=1)
+        assert run_supervised(describe, payloads, jobs=3, chunk=chunk) == serial
 
     def test_on_result_fires_in_task_order_serial(self):
         seen = []
-        run_tasks(square, [5, 4, 3], jobs=1, on_result=lambda i, r: seen.append((i, r)))
+        run_supervised(
+            square, [5, 4, 3], jobs=1, on_result=lambda i, r: seen.append((i, r))
+        )
         assert seen == [(0, 25), (1, 16), (2, 9)]
 
     def test_on_result_fires_in_task_order_parallel(self):
         seen = []
-        results = run_tasks(
+        results = run_supervised(
             square, list(range(12)), jobs=3, on_result=lambda i, r: seen.append((i, r))
         )
         assert results == [i * i for i in range(12)]
@@ -168,7 +216,7 @@ class TestRunTasks:
         # chunk=2 over 11 tasks: chunks complete out of order on 3
         # workers, but emission must still be the contiguous prefix.
         seen = []
-        results = run_tasks(
+        results = run_supervised(
             square,
             list(range(11)),
             jobs=3,
@@ -180,23 +228,26 @@ class TestRunTasks:
 
     def test_single_task_runs_in_process(self):
         # workers = min(jobs, len(payloads)) == 1 -> serial path.
-        assert run_tasks(square, [6], jobs=8) == [36]
+        assert run_supervised(square, [6], jobs=8) == [36]
 
     def test_falsy_results_are_real_results(self):
         # Regression: slot bookkeeping must use the UNSET sentinel, not
         # None/falsiness — None, 0, "", [] are legitimate results.
         expected = [falsy_result(i) for i in range(8)]
-        assert run_tasks(falsy_result, list(range(8)), jobs=1) == expected
-        assert run_tasks(falsy_result, list(range(8)), jobs=3, chunk=2) == expected
+        assert run_supervised(falsy_result, list(range(8)), jobs=1) == expected
+        assert (
+            run_supervised(falsy_result, list(range(8)), jobs=3, chunk=2)
+            == expected
+        )
 
     def test_none_results_not_reexecuted(self, monkeypatch):
         # With None-as-sentinel, the serial fallback would re-run every
         # task whose (legitimate) result was None.  Count calls under an
         # in-process fake pool to prove each task ran exactly once.
         shutdown_pool()
-        monkeypatch.setattr(pool_mod, "get_pool", lambda workers: _InProcessPool())
+        monkeypatch.setattr(sup_mod, "get_pool", lambda workers: _InProcessPool())
         CALLS.clear()
-        results = run_tasks(record_call, list(range(6)), jobs=2, chunk=2)
+        results = run_supervised(record_call, list(range(6)), jobs=2, chunk=2)
         assert results == [None] * 6
         assert len(CALLS) == 6
 
@@ -209,22 +260,22 @@ class TestPersistentPool:
     def test_pool_reused_across_calls(self):
         shutdown_pool()
         assert pool_workers() == 0
-        run_tasks(square, list(range(8)), jobs=2)
+        run_supervised(square, list(range(8)), jobs=2)
         first = pool_mod._POOL
         assert first is not None and pool_workers() >= 2
-        run_tasks(square, list(range(8)), jobs=2)
+        run_supervised(square, list(range(8)), jobs=2)
         assert pool_mod._POOL is not None
         assert pool_mod._POOL[0] is first[0]  # same pool object, reused
 
     def test_pool_grows_by_recreation(self):
         shutdown_pool()
-        run_tasks(square, list(range(8)), jobs=2)
+        run_supervised(square, list(range(8)), jobs=2)
         narrow = pool_mod._POOL
-        run_tasks(square, list(range(8)), jobs=4)
+        run_supervised(square, list(range(8)), jobs=4)
         assert pool_workers() >= 4
         assert pool_mod._POOL[0] is not narrow[0]
         # A later narrower request reuses the wide pool, no shrink.
-        run_tasks(square, list(range(8)), jobs=2)
+        run_supervised(square, list(range(8)), jobs=2)
         assert pool_workers() >= 4
 
     def test_shutdown_is_idempotent(self):
@@ -245,55 +296,74 @@ class TestDegradation:
 
         monkeypatch.setattr(pool_mod, "_pool_context", lambda: Exploding())
         seen = []
-        results = run_tasks(
+        results = run_supervised(
             square, [2, 3], jobs=2, on_result=lambda i, r: seen.append(i)
         )
         assert results == [4, 9]
         assert seen == [0, 1]
 
-    def test_worker_death_fills_remaining_serially(self, monkeypatch):
-        # First chunk delivered, then the pool dies: the engine must
-        # discard the pool, compute what's missing in-process, and keep
-        # the on_result order strict with no replays.
-        shutdown_pool()
-        monkeypatch.setattr(
-            pool_mod, "get_pool", lambda workers: _DyingPool(deliver_chunks=1)
+    def test_worker_death_recovers_with_timeouts_disabled(self, tmp_path):
+        # A worker dies mid-task (os._exit) during a batch with no
+        # timeout.  The pool respawns the worker but the chunk never
+        # reports back; the engine must notice from the changed worker
+        # set, rebuild, re-run the lost slots and return every result
+        # in order.  Run in a subprocess with a wall-clock bound, so an
+        # engine that misses the death fails here instead of hanging.
+        script = (
+            "import json\n"
+            "from repro.parallel import engine_counters, run_supervised\n"
+            "from tests.parallel.test_pool import exit_once\n"
+            f"payloads = [{{'marker': {str(tmp_path / 'died')!r}, "
+            "'value': v} for v in range(8)]\n"
+            "seen = []\n"
+            "results = run_supervised(exit_once, payloads, jobs=2, chunk=2,\n"
+            "    task_timeout=None, on_result=lambda i, r: seen.append(i))\n"
+            "print(json.dumps([results, seen, engine_counters()]))\n"
         )
-        seen = []
-        results = run_tasks(
-            square,
-            list(range(7)),
-            jobs=2,
-            chunk=2,
-            on_result=lambda i, r: seen.append((i, r)),
+        env = dict(os.environ)
+        env.pop("REPRO_TASK_TIMEOUT", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
         )
-        assert results == [i * i for i in range(7)]
-        assert seen == [(i, i * i) for i in range(7)]
-        assert pool_workers() == 0  # the broken pool was discarded
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=REPO_ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the engine hung on a dead worker")
+        assert proc.returncode == 0, proc.stderr
+        results, seen, counters = json.loads(proc.stdout)
+        assert results == [v * v for v in range(8)]
+        assert seen == list(range(8))
+        assert (tmp_path / "died").exists()  # the worker really died
+        assert counters["parallel.fallbacks"] == 0  # rebuilt, not serial
 
     def test_task_exception_propagates(self, monkeypatch):
         # A task that raises is a task bug, not a pool failure: the
-        # serial fallback re-raises it instead of swallowing it.
+        # engine re-raises it instead of swallowing it.
         shutdown_pool()
-        monkeypatch.setattr(pool_mod, "get_pool", lambda workers: _InProcessPool())
+        monkeypatch.setattr(sup_mod, "get_pool", lambda workers: _InProcessPool())
 
         def boom(payload):
             raise ValueError(f"task {payload} is broken")
 
         with pytest.raises(ValueError, match="task 0 is broken"):
-            run_tasks(boom, list(range(4)), jobs=2)
+            run_supervised(boom, list(range(4)), jobs=2)
 
 
 class TestFallbackObservability:
-    """Degradation is counted and warned, never silent (satellite of
-    the self-healing runtime: ``parallel.fallbacks`` feeds the campaign
-    report's ``runtime`` section)."""
+    """Degradation is counted and warned, never silent
+    (``parallel.fallbacks`` feeds the campaign report's ``runtime``
+    section)."""
 
     def test_pool_create_failure_counts_and_warns_once(
         self, monkeypatch, capsys
     ):
-        from repro.parallel.stats import ENGINE_STATS, reset_warnings
-
         shutdown_pool()
         reset_warnings()
 
@@ -302,30 +372,31 @@ class TestFallbackObservability:
                 raise OSError("no semaphores here")
 
         monkeypatch.setattr(pool_mod, "_pool_context", lambda: Exploding())
-        before = ENGINE_STATS.get("fallbacks")
-        assert run_tasks(square, [2, 3], jobs=2) == [4, 9]
-        assert ENGINE_STATS.get("fallbacks") == before + 1
+        before = engine_counters()["parallel.fallbacks"]
+        assert run_supervised(square, [2, 3], jobs=2) == [4, 9]
+        assert engine_counters()["parallel.fallbacks"] == before + 1
         err = capsys.readouterr().err
         assert err.count("worker pool unavailable") == 1
         # The same category warns once per process, however often the
         # engine falls back; the counter keeps counting.
-        assert run_tasks(square, [4, 5], jobs=2) == [16, 25]
-        assert ENGINE_STATS.get("fallbacks") == before + 2
+        assert run_supervised(square, [4, 5], jobs=2) == [16, 25]
+        assert engine_counters()["parallel.fallbacks"] == before + 2
         assert "worker pool unavailable" not in capsys.readouterr().err
         reset_warnings()
 
     def test_pool_death_counts_fallback(self, monkeypatch, capsys):
-        from repro.parallel.stats import ENGINE_STATS, reset_warnings
-
+        # Every rebuilt pool loses its worker again: past the rebuild
+        # limit the engine finishes serially, counted and warned.
         shutdown_pool()
         reset_warnings()
         monkeypatch.setattr(
-            pool_mod, "get_pool", lambda workers: _DyingPool(deliver_chunks=1)
+            sup_mod, "get_pool", lambda workers: _DeadWorkerPool()
         )
-        before = ENGINE_STATS.get("fallbacks")
-        assert run_tasks(square, list(range(6)), jobs=2, chunk=2) == [
+        monkeypatch.setattr(sup_mod, "_LIVENESS_POLL", 0.01)
+        before = engine_counters()["parallel.fallbacks"]
+        assert run_supervised(square, list(range(6)), jobs=2, chunk=2) == [
             i * i for i in range(6)
         ]
-        assert ENGINE_STATS.get("fallbacks") == before + 1
-        assert "died mid-flight" in capsys.readouterr().err
+        assert engine_counters()["parallel.fallbacks"] == before + 1
+        assert "kept failing" in capsys.readouterr().err
         reset_warnings()

@@ -14,8 +14,9 @@ import time
 
 import pytest
 
-from repro.parallel.pool import UNSET, run_tasks, shutdown_pool
-from repro.parallel.stats import EngineStats, reset_warnings
+from repro.obs.registry import MetricsRegistry
+from repro.parallel.pool import UNSET, shutdown_pool
+from repro.parallel.stats import engine_counters, reset_warnings
 from repro.parallel.supervisor import (
     TASK_TIMEOUT_ENV,
     backoff_delay,
@@ -81,16 +82,10 @@ class TestBackoff:
 
 
 class TestEquivalence:
-    """Without timeouts or failures the supervisor is run_tasks."""
+    """Without timeouts or failures, pooled output equals serial."""
 
     def test_empty(self):
         assert run_supervised(square, []) == []
-
-    def test_serial_matches_run_tasks(self):
-        payloads = list(range(9))
-        assert run_supervised(square, payloads, jobs=1) == run_tasks(
-            square, payloads, jobs=1
-        )
 
     @pytest.mark.parametrize("jobs,chunk", [(2, 1), (3, 2), (4, 0)])
     def test_parallel_matches_serial(self, jobs, chunk):
@@ -124,12 +119,12 @@ class TestEquivalence:
     def test_timeout_engages_pool_even_at_one_worker(self):
         # A single in-process worker cannot be interrupted, so an armed
         # timeout must route through the pool even at jobs=1.
-        stats = EngineStats()
+        stats = MetricsRegistry()
         results = run_supervised(
             square, list(range(5)), jobs=1, task_timeout=30.0, stats=stats
         )
         assert results == [i * i for i in range(5)]
-        assert stats.get("timeouts") == 0
+        assert engine_counters(stats)["parallel.timeouts"] == 0
 
     def test_task_exception_propagates(self):
         shutdown_pool()
@@ -149,7 +144,7 @@ class TestTimeoutRetryQuarantine:
         # First execution hangs past the timeout: the worker is killed
         # and the slot re-queued; the retry sees the marker and returns.
         shutdown_pool()
-        stats = EngineStats()
+        stats = MetricsRegistry()
         payloads = [
             {"marker": str(tmp_path / "m0"), "value": 3},
             {"marker": str(tmp_path / "present"), "value": 4},
@@ -166,14 +161,14 @@ class TestTimeoutRetryQuarantine:
             stats=stats,
         )
         assert results == [9, 16]
-        assert stats.get("timeouts") >= 1
-        assert stats.get("retries") >= 1
-        assert stats.get("quarantined") == 0
+        assert engine_counters(stats)["parallel.timeouts"] >= 1
+        assert engine_counters(stats)["parallel.retries"] >= 1
+        assert engine_counters(stats)["parallel.quarantined"] == 0
         shutdown_pool()
 
     def test_poison_task_quarantined_campaign_continues(self):
         shutdown_pool()
-        stats = EngineStats()
+        stats = MetricsRegistry()
         quarantined = []
 
         def quarantine(index, payload, attempts):
@@ -200,8 +195,8 @@ class TestTimeoutRetryQuarantine:
         # quarantine factory's value after exactly max_retries failures.
         assert results == [0, {"quarantined": 1}, 4, 9]
         assert quarantined == [(1, 2)]
-        assert stats.get("timeouts") >= 2
-        assert stats.get("quarantined") == 1
+        assert engine_counters(stats)["parallel.timeouts"] >= 2
+        assert engine_counters(stats)["parallel.quarantined"] == 1
         shutdown_pool()
 
     def test_poison_chunkmates_survive_singleton_requeue(self):
@@ -209,7 +204,7 @@ class TestTimeoutRetryQuarantine:
         # expires, but its singleton retry succeeds — only the poison
         # run is quarantined.
         shutdown_pool()
-        stats = EngineStats()
+        stats = MetricsRegistry()
         payloads = [{"value": 0, "hang": True}, {"value": 5}]
         results = run_supervised(
             hang_forever,
@@ -222,7 +217,7 @@ class TestTimeoutRetryQuarantine:
             stats=stats,
         )
         assert results == [{"quarantined": 0}, 25]
-        assert stats.get("quarantined") == 1
+        assert engine_counters(stats)["parallel.quarantined"] == 1
         shutdown_pool()
 
     def test_no_quarantine_factory_raises(self):
@@ -283,7 +278,7 @@ class TestDegradation:
             raise OSError("no semaphores here")
 
         monkeypatch.setattr(sup_mod, "get_pool", no_pool)
-        stats = EngineStats()
+        stats = MetricsRegistry()
         seen = []
         results = run_supervised(
             square,
@@ -295,7 +290,7 @@ class TestDegradation:
         )
         assert results == [i * i for i in range(6)]
         assert seen == list(range(6))
-        assert stats.get("fallbacks") == 1
+        assert engine_counters(stats)["parallel.fallbacks"] == 1
         err = capsys.readouterr().err
         assert "worker pool unavailable" in err
         assert "cannot be enforced" in err  # the timeout was armed

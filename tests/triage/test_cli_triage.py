@@ -33,9 +33,26 @@ def test_triage_commands_parse():
         assert callable(args.func)
 
 
-def test_chaos_zero_seeds_is_usage_error(capsys):
-    assert main(["chaos", "--seeds", "0"]) == 3
-    assert "--seeds" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seeds", "0"],
+        ["--ops", "0"],
+        ["--n", "3", "--f", "2"],
+        ["--byzantine", "3"],
+        ["--n", "4", "--f", "0"],
+    ],
+    ids=["zero-seeds", "zero-ops", "no-majority", "byzantine-over-budget",
+         "lossy-without-crash-budget"],
+)
+def test_chaos_bad_parameters_are_usage_errors(argv, capsys, tmp_path):
+    code = main(
+        ["chaos", "--seeds", "1", "--no-cache", "--out", "", *argv,
+         "--json", str(tmp_path / "report.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.startswith("error: ") and out.count("\n") == 1
 
 
 def test_replay_verb_matches_and_mismatches(capsys, tmp_path):

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.parallel.fingerprint import FINGERPRINT_ENV
-from repro.parallel.pool import run_tasks
+from repro.parallel.supervisor import run_supervised
 from repro.triage.replay import (
     _replay_task,
     replay_task_payload,
@@ -35,7 +35,7 @@ def test_replay_identical_in_process_and_through_pool():
     bundle = failure_bundle(DEMO_CONFIG)
     payload = replay_task_payload(bundle)
     serial = _replay_task(payload)
-    (pooled,) = run_tasks(_replay_task, [payload], jobs=2)
+    (pooled,) = run_supervised(_replay_task, [payload], jobs=2)
     assert json.dumps(serial, sort_keys=True) == json.dumps(
         pooled, sort_keys=True
     )
