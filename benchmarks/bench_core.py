@@ -16,7 +16,9 @@ record carries before/after speedup factors:
   fork and sleep-set partial-order reduction, on the exhaustive SWMR
   write||read configuration.  Verdicts are asserted identical.
 * **checker** — ``check_atomicity`` with the interval decomposition off
-  vs on, over a long workload-generated history.
+  vs on, over a long workload-generated history, timed in
+  ``CHECKER_PAIRS`` interleaved pairs (the median per-pair ratio is
+  the speedup).
 * **tracing** — the disabled-tracing overhead on the fork and
   exploration paths: the shipped falsy ``NO_OP`` observer vs the
   cheapest possible falsy floor (``obs = None``), plus the enabled
@@ -33,6 +35,7 @@ speedup factors against.
 from __future__ import annotations
 
 import copy
+import statistics
 import time
 from typing import Callable, Dict, List, Tuple
 
@@ -49,6 +52,11 @@ from repro.verification.explore import ScheduleExplorer
 from repro.workload.generator import run_random_workload
 
 from benchmarks.common import write_perf_record
+
+
+#: Interleaved monolithic/decomposed pairs of the checker bench (odd,
+#: so the median is one pair's ratio).
+CHECKER_PAIRS = 5
 
 
 def _rate(fn: Callable[[], None], min_wall: float = 0.3) -> float:
@@ -215,17 +223,34 @@ def bench_checker() -> Dict[str, float]:
     deco = check_atomicity(history)
     assert mono.ok == deco.ok
 
-    def cold(decompose: bool) -> None:
+    def cold(decompose: bool) -> float:
         _closure_from_intervals.cache_clear()
+        start = time.perf_counter()
         check_atomicity(history, decompose=decompose)
+        return time.perf_counter() - start
 
-    mono_rate = _rate(lambda: cold(False))
-    deco_rate = _rate(lambda: cold(True))
+    cold(False)
+    cold(True)
+    # A monolithic check takes ~0.3 s, so a single timing of each side
+    # spans a host speed phase; interleaved pairs (alternating which
+    # side runs first) see the same phase, and the median pair decides.
+    pairs = []
+    for index in range(CHECKER_PAIRS):
+        if index % 2 == 0:
+            mono_s, deco_s = cold(False), cold(True)
+        else:
+            deco_s, mono_s = cold(True), cold(False)
+        pairs.append((mono_s, deco_s))
     return {
         "history_len": len(history),
-        "monolithic_checks_per_s": round(mono_rate, 2),
-        "decomposed_checks_per_s": round(deco_rate, 2),
-        "speedup": round(deco_rate / mono_rate, 2),
+        "monolithic_checks_per_s": round(
+            1.0 / statistics.median(m for m, _ in pairs), 2
+        ),
+        "decomposed_checks_per_s": round(
+            1.0 / statistics.median(d for _, d in pairs), 2
+        ),
+        "speedup": round(statistics.median(m / d for m, d in pairs), 2),
+        "pair_speedups": [round(m / d, 2) for m, d in pairs],
     }
 
 

@@ -16,7 +16,11 @@ Four measurements land in ``BENCH_parallel.json``:
   {1, 8, auto}, showing what chunked dispatch buys over per-task IPC.
 * **engine comparison** — the identical campaign pushed through the
   *legacy* spawn-a-``Pool``-per-call engine (reimplemented here,
-  verbatim) vs the persistent pool, same job count.  This is the
+  verbatim) vs the persistent pool at jobs=4, timed in
+  ``ENGINE_PAIRS`` interleaved pairs that alternate which engine runs
+  first.  The headline ``speedup`` is the median of the per-pair
+  legacy/pooled ratios: both halves of a pair see the same host load,
+  so one noisy moment moves one pair, not the verdict.  This is the
   before/after ratio the perf guard pins, machine-independent in the
   same way BENCH_core's factors are.
 * **dispatch microbench** — hundreds of trivial tasks, legacy vs
@@ -34,6 +38,8 @@ preserved); ``benchmarks.perf_guard`` gates on a fresh run.
 import json
 import multiprocessing
 import os
+import platform
+import statistics
 import tempfile
 import time
 
@@ -65,6 +71,10 @@ CHUNK_ABLATION = (1, 8, 0)
 
 #: Task count of the pure-dispatch microbench.
 DISPATCH_TASKS = 400
+
+#: Interleaved legacy/pooled pairs of the engine comparison (odd, so
+#: the median is one pair's ratio).
+ENGINE_PAIRS = 5
 
 
 # -- the legacy engine, kept verbatim for the before/after ratio -------------
@@ -153,6 +163,34 @@ def _timed_legacy_campaign(**kwargs):
         campaign_mod.run_supervised = original
 
 
+def _engine_pairs(text_serial: str):
+    """Legacy vs pooled campaign walls at jobs=4, in interleaved pairs.
+
+    Pair ``i`` runs the legacy engine first when ``i`` is even and the
+    pooled engine first otherwise, so neither engine systematically
+    inherits a warmer or colder host.  Returns the pair rows and
+    whether every report matched the serial one byte for byte.
+    """
+    runners = {"legacy": _timed_legacy_campaign, "pooled": _timed_campaign}
+    pairs = []
+    identical = True
+    for index in range(ENGINE_PAIRS):
+        order = ("legacy", "pooled") if index % 2 == 0 else ("pooled", "legacy")
+        walls = {}
+        for engine in order:
+            report, walls[engine] = runners[engine](jobs=4, **PARAMS)
+            identical &= report.format() == text_serial
+        pairs.append(
+            {
+                "first": order[0],
+                "legacy_wall_seconds": round(walls["legacy"], 4),
+                "pooled_wall_seconds": round(walls["pooled"], 4),
+                "speedup": round(walls["legacy"] / max(walls["pooled"], 1e-9), 3),
+            }
+        )
+    return pairs, identical
+
+
 def _dispatch_payloads():
     # Campaign-sized payload dicts, so both engines pay realistic
     # per-task pickling; the pooled engine ships them in chunks.
@@ -205,9 +243,8 @@ def run_parallel_bench() -> dict:
             }
         )
 
-    legacy, legacy_wall = _timed_legacy_campaign(jobs=4, **PARAMS)
-    byte_identical &= legacy.format() == text_serial
-    pooled_wall = walls[4]
+    engine_pairs, engine_identical = _engine_pairs(text_serial)
+    byte_identical &= engine_identical
 
     # Pure dispatch: the persistent pool is warm, the legacy engine
     # spawns per call — both run the identical trivial task list.
@@ -231,6 +268,7 @@ def run_parallel_bench() -> dict:
 
     record = {
         "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
         "params": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in PARAMS.items()},
         "runs": len(serial.results),
@@ -241,9 +279,14 @@ def run_parallel_bench() -> dict:
         "chunk_ablation": chunk_ablation,
         "engine": {
             "jobs": 4,
-            "legacy_wall_seconds": round(legacy_wall, 4),
-            "pooled_wall_seconds": round(pooled_wall, 4),
-            "speedup": round(legacy_wall / max(pooled_wall, 1e-9), 3),
+            "legacy_wall_seconds": statistics.median(
+                p["legacy_wall_seconds"] for p in engine_pairs
+            ),
+            "pooled_wall_seconds": statistics.median(
+                p["pooled_wall_seconds"] for p in engine_pairs
+            ),
+            "speedup": statistics.median(p["speedup"] for p in engine_pairs),
+            "pairs": engine_pairs,
         },
         "dispatch": {
             "tasks": DISPATCH_TASKS,

@@ -2,7 +2,8 @@
 
 **Core gate.**  Reruns :func:`benchmarks.bench_core.run_core_bench`
 and compares its *speedup factors* against the committed baseline
-record (``benchmarks/results/BENCH_core.json``).  Speedups are
+record (``benchmarks/results/BENCH_core.json``); the checker factor is
+the median of interleaved monolithic/decomposed pairs.  Speedups are
 before/after ratios measured on the same machine in the same process,
 so they are robust to host speed differences where absolute throughput
 numbers are not — and they collapse immediately if a hot-path
@@ -27,14 +28,16 @@ before/after or serial/parallel ratio):
   simulator runs on a warm cache — the two hard invariants;
 * dispatch speedup (persistent+chunked vs the retired spawn-per-call
   engine, trivial tasks) above ``DISPATCH_FLOOR``;
-* engine speedup (same realistic campaign, both engines, same jobs)
-  above ``ENGINE_FLOOR``;
+* engine speedup (same realistic campaign, both engines, jobs=4) above
+  ``ENGINE_FLOOR``, decided on the median of the per-pair ratios of
+  interleaved legacy/pooled pairs (alternating which runs first);
 * serial-vs-parallel speedup tiered by the host's CPU count:
   > 1.5 with ≥ 4 CPUs, > 1.0 with ≥ 2, and — on a single-CPU host,
   where beating serial is physically impossible — an overhead bound
   of ``SINGLE_CPU_FLOOR`` (the retired engine scored 0.538 there).
 
-On any parallel failure the guard prints the full jobs-scaling table
+On any parallel failure the guard prints the full jobs-scaling table,
+every engine pair and the machine facts (CPU count, Python version),
 so a regression is diagnosable from CI logs alone.  The tier-2 test
 (``tests/perf/test_parallel_regression.py``) runs the same gate.
 """
@@ -96,9 +99,11 @@ def compare_records(
         base = baseline[section]["speedup"]
         now = fresh[section]["speedup"]
         if now < base * (1.0 - threshold):
+            pairs = fresh[section].get("pair_speedups")
             failures.append(
                 f"{section}: speedup {now}x fell more than "
                 f"{threshold:.0%} below baseline {base}x"
+                + (f" (median of pairs {pairs})" if pairs else "")
             )
     failures.extend(tracing_failures(fresh))
     return failures
@@ -126,6 +131,7 @@ def jobs_scaling_table(record: Dict[str, dict]) -> str:
     """The jobs-scaling curve as an aligned table (printed on failure)."""
     lines = [
         f"jobs-scaling on {record.get('cpus', '?')} CPU(s), "
+        f"Python {record.get('python', '?')}, "
         f"{record.get('runs', '?')} runs "
         f"(serial {record.get('serial_wall_seconds', '?')}s):",
         "  jobs  wall(s)   speedup",
@@ -146,8 +152,15 @@ def jobs_scaling_table(record: Dict[str, dict]) -> str:
             f"  engine (legacy vs pooled, jobs={engine.get('jobs')}): "
             f"{engine.get('legacy_wall_seconds')}s -> "
             f"{engine.get('pooled_wall_seconds')}s "
-            f"({engine.get('speedup')}x)"
+            f"({engine.get('speedup')}x, median of "
+            f"{len(engine.get('pairs', []))} pairs)"
         )
+        for index, pair in enumerate(engine.get("pairs", [])):
+            lines.append(
+                f"    pair {index} ({pair['first']} first): "
+                f"{pair['legacy_wall_seconds']}s -> "
+                f"{pair['pooled_wall_seconds']}s ({pair['speedup']}x)"
+            )
     if dispatch:
         lines.append(
             f"  dispatch ({dispatch.get('tasks')} trivial tasks): "
@@ -177,8 +190,13 @@ def parallel_failures(record: Dict[str, dict]) -> List[str]:
         )
     engine = record.get("engine", {}).get("speedup", 0.0)
     if engine <= ENGINE_FLOOR:
+        pairs = ", ".join(
+            str(p["speedup"]) for p in record.get("engine", {}).get("pairs", [])
+        )
         failures.append(
-            f"parallel: engine speedup {engine}x not above {ENGINE_FLOOR}x — "
+            f"parallel: engine speedup {engine}x (median of pairs [{pairs}], "
+            f"{record.get('cpus', '?')} CPU(s), Python "
+            f"{record.get('python', '?')}) not above {ENGINE_FLOOR}x — "
             "the persistent pool no longer beats the spawn-per-call engine"
         )
     cpus = record.get("cpus", 1)

@@ -65,7 +65,9 @@ Fault semantics
 
 The partition gate composes with channel filters: the World applies the
 filter first, then the partition, so proofs can run their freezes on a
-partitioned system.  :meth:`ChannelAdversary.as_filter` exposes the
+partitioned system.  The World reads ``adversary.partition`` directly
+and skips the gate entirely while it is None, so a connected system
+pays nothing per step.  :meth:`ChannelAdversary.as_filter` exposes the
 current partition as a plain ``ChannelFilter`` for explicit
 ``intersect`` composition.
 """
@@ -240,6 +242,9 @@ class Partition:
 
     Any pid not named in ``groups`` belongs to an implicit "rest"
     group, so isolating a minority is just ``Partition.isolate(pids)``.
+    The pid -> group-index map is built once at construction, so
+    :meth:`crosses` (called per enabled channel per step while the
+    partition is active) is two dict lookups.
     """
 
     groups: Tuple[FrozenSet[str], ...]
@@ -248,14 +253,15 @@ class Partition:
     __clone_shared__ = True
 
     def __post_init__(self) -> None:
-        seen: set = set()
-        for group in self.groups:
-            overlap = seen & group
+        sides: Dict[str, int] = {}
+        for index, group in enumerate(self.groups):
+            overlap = group.intersection(sides)
             if overlap:
                 raise ConfigurationError(
                     f"partition groups overlap on {sorted(overlap)}"
                 )
-            seen |= group
+            sides.update(dict.fromkeys(group, index))
+        object.__setattr__(self, "_sides", sides)
 
     @classmethod
     def isolate(cls, pids: Iterable[str]) -> "Partition":
@@ -269,14 +275,12 @@ class Partition:
 
     def side_of(self, pid: str) -> int:
         """Group index of ``pid`` (-1 for the implicit rest group)."""
-        for index, group in enumerate(self.groups):
-            if pid in group:
-                return index
-        return -1
+        return self._sides.get(pid, -1)
 
     def crosses(self, src: str, dst: str) -> bool:
         """True iff the channel src->dst crosses the cut."""
-        return self.side_of(src) != self.side_of(dst)
+        sides = self._sides
+        return sides.get(src, -1) != sides.get(dst, -1)
 
 
 @dataclass(frozen=True)
@@ -375,7 +379,10 @@ class ChannelAdversary:
         """
         return clone_instance_state(self)
 
-    # -- partition gate (consulted by World.enabled_channels) ----------------
+    # -- partition gate -------------------------------------------------------
+    #
+    # World.enabled_channels reads ``partition`` directly (see the module
+    # docstring); ``allows`` backs :meth:`as_filter` composition.
 
     def allows(self, src: str, dst: str) -> bool:
         """False iff an active partition puts src and dst on different sides."""

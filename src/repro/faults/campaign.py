@@ -253,13 +253,17 @@ def _adversary_for(config: FaultConfig, handle: SystemHandle) -> ChannelAdversar
             roles=config.byzantine_roles or BYZANTINE_ROLE_NAMES,
             seed=config.seed,
         )
+    lossy = frozenset(_fault_targets(config, handle))
     return ChannelAdversary(
         AdversaryConfig(
-            drop_probability=config.drop_probability,
+            # With f=0 there are no fault targets, so the lossy shapes
+            # drop nothing (an empty lossy set never consumes drop RNG,
+            # so this leaves every f>=1 schedule unchanged).
+            drop_probability=config.drop_probability if lossy else 0.0,
             duplicate_probability=config.duplicate_probability,
             reorder_probability=config.reorder_probability,
             reorder_window=config.reorder_window,
-            lossy_processes=frozenset(_fault_targets(config, handle)),
+            lossy_processes=lossy,
             tamper_mode=config.tamper_mode,
             byzantine=byzantine,
         ),

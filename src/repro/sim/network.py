@@ -25,11 +25,17 @@ campaign, so both avoid reflective work:
   adversary ``clone``) instead of ``copy.deepcopy``;
   :meth:`deepcopy_fork` keeps the old behaviour as the reference
   implementation for equivalence tests and benchmarks.
-* ``enabled_channels()`` reads an incrementally maintained sorted
-  index of non-empty channels (updated by channel transition
-  callbacks on enqueue/dequeue) instead of rescanning and re-sorting
-  every channel per step.  The scheduler sees exactly the same sorted
-  key list as before, so schedules are byte-identical.
+* The keys of non-empty channels live in one always-sorted list,
+  maintained by ``bisect`` insert/delete in the channel transition
+  callback (fired only when a queue crosses the empty/non-empty
+  boundary) and copied by ``fork()``.  ``enabled_channels()`` and
+  ``undelivered_channels()`` hand out a copy of it: no rescan and no
+  re-sort per step.
+* The partition gate costs nothing while no partition is active:
+  ``enabled_channels()`` filters by ``Partition.crosses`` (two dict
+  lookups per key) only while ``adversary.partition`` is set.  The
+  scheduler sees exactly the same sorted key list as a full rescan
+  would give, so schedules are byte-identical.
 * ``servers()``/``clients()`` and ``pending_operations()`` are served
   from caches invalidated at the (single) mutation points.
 """
@@ -37,6 +43,7 @@ campaign, so both avoid reflective work:
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -70,11 +77,9 @@ class World:
         self.operations: List[OperationRecord] = []
         self._next_op_id = 0
         self.record_trace = True
-        #: Keys of channels currently holding messages, maintained by
-        #: :meth:`_channel_transition`; ``_nonempty_sorted`` caches the
-        #: sorted view and is invalidated on every transition.
-        self._nonempty: set = set()
-        self._nonempty_sorted: Optional[List[ChannelKey]] = None
+        #: Keys of channels currently holding messages, kept sorted by
+        #: :meth:`_channel_transition`.
+        self._nonempty: List[ChannelKey] = []
         #: Topology caches (invalidated by :meth:`add_process`).
         self._servers_cache: Optional[List[ServerProcess]] = None
         self._clients_cache: Optional[List[ClientProcess]] = None
@@ -148,10 +153,9 @@ class World:
         """
         key = (channel.src, channel.dst)
         if nonempty:
-            self._nonempty.add(key)
+            insort(self._nonempty, key)
         else:
-            self._nonempty.discard(key)
-        self._nonempty_sorted = None
+            del self._nonempty[bisect_left(self._nonempty, key)]
 
     # -- message plumbing (called by ProcessContext) --------------------------
 
@@ -204,9 +208,7 @@ class World:
         adversary's active partition additionally disables channels
         crossing the cut (their messages stay queued until a heal).
         """
-        keys = self._nonempty_sorted
-        if keys is None:
-            keys = self._nonempty_sorted = sorted(self._nonempty)
+        keys = self._nonempty
         filtered = keys
         if channel_filter is not None:
             channels = self.channels
@@ -215,18 +217,17 @@ class World:
                 for k in filtered
                 if channel_filter.allows(*k, head_message=channels[k].peek())
             ]
-        if self.adversary is not None:
-            filtered = [k for k in filtered if self.adversary.allows(*k)]
+        adversary = self.adversary
+        if adversary is not None and adversary.partition is not None:
+            crosses = adversary.partition.crosses
+            filtered = [k for k in filtered if not crosses(*k)]
         if filtered is keys:
-            filtered = list(keys)  # defend the cached list against callers
+            filtered = list(keys)  # defend the index against callers
         return filtered
 
     def undelivered_channels(self) -> List[ChannelKey]:
         """All non-empty channel keys, sorted (ignores filters/partitions)."""
-        keys = self._nonempty_sorted
-        if keys is None:
-            keys = self._nonempty_sorted = sorted(self._nonempty)
-        return list(keys)
+        return list(self._nonempty)
 
     def deliver(self, src: str, dst: str) -> ActionRecord:
         """Execute the delivery action on channel src->dst.
@@ -498,8 +499,7 @@ class World:
         notify = clone._channel_transition
         for key, channel in self.channels.items():
             clone.channels[key] = channel.clone(notify)
-        clone._nonempty = set(self._nonempty)
-        clone._nonempty_sorted = None
+        clone._nonempty = list(self._nonempty)
         clone._servers_cache = None
         clone._clients_cache = None
         # op_id == index in ``operations`` (enforced by invoke_*), so the

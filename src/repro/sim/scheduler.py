@@ -185,10 +185,14 @@ class RoundRobinScheduler(Scheduler):
         return duplicate
 
     def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
-        for key in sorted(enabled):
-            if key not in self._known:
-                self._known.add(key)
-                self._order.append(key)
+        known = self._known
+        if not known.issuperset(enabled):
+            # New keys join the order sorted; once every channel has been
+            # seen (almost every step) this is one subset test.
+            for key in sorted(enabled):
+                if key not in known:
+                    known.add(key)
+                    self._order.append(key)
         enabled_set = set(enabled)
         total = len(self._order)
         for offset in range(total):

@@ -1,20 +1,26 @@
 """Hot-path bookkeeping: channel index, topology caches, pending index.
 
 These guard the incremental structures the fork/step overhaul
-introduced: the non-empty-channel index (kept in sync by channel
-transition callbacks, even for direct enqueues), the cached
+introduced: the sorted non-empty-channel index (kept in sync by channel
+transition callbacks, even for direct enqueues), the partition gate and
+the round-robin scheduler's sort-only-on-new-keys fast path, the cached
 ``servers()``/``clients()`` topology views, the incomplete-operation
 index behind ``pending_operations()``, and the ``run_until`` step
 budget (which used to permit ``max_steps + 1`` deliveries).
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import OperationIncompleteError
+from repro.faults.adversary import AdversaryConfig, ChannelAdversary, Partition
 from repro.registers.abd import build_abd_system
 from repro.sim.events import Message
 from repro.sim.network import World
 from repro.sim.process import ClientProcess, ServerProcess
+from repro.sim.scheduler import RoundRobinScheduler
 
 
 def _rescan(world: World):
@@ -53,6 +59,120 @@ class TestChannelIndex:
         clone.deliver_all()
         assert clone.undelivered_channels() == []
         assert world.undelivered_channels() == _rescan(world) != []
+
+
+class _Echo(ServerProcess):
+    """Answers a ``ping`` with a ``ping`` one hop further, up to two
+    hops, so deliveries trigger fresh sends (and new channel keys)."""
+
+    def __init__(self, pid: str) -> None:
+        super().__init__(pid)
+        self.seen = 0
+
+    def on_message(self, ctx, src, message):
+        self.seen += 1
+        hop = message.get("hop", 0)
+        if message.kind == "ping" and hop < 2:
+            ctx.send(src, Message.make("ping", hop=hop + 1))
+
+    def state_digest(self):
+        return (self.seen,)
+
+
+class _SortingRoundRobin(RoundRobinScheduler):
+    """Reference: the round-robin scheduler that sorts and registers
+    the enabled keys on every selection."""
+
+    def clone(self):
+        duplicate = _SortingRoundRobin()
+        duplicate._order = list(self._order)
+        duplicate._known = set(self._known)
+        duplicate._cursor = self._cursor
+        return duplicate
+
+    def select(self, world, enabled):
+        for key in sorted(enabled):
+            if key not in self._known:
+                self._known.add(key)
+                self._order.append(key)
+        enabled_set = set(enabled)
+        total = len(self._order)
+        for offset in range(total):
+            index = (self._cursor + offset) % total
+            if self._order[index] in enabled_set:
+                self._cursor = index + 1
+                return self._order[index]
+        raise AssertionError("no enabled key in the reference order")
+
+
+_PIDS = ("a", "b", "c", "d", "e")
+
+
+def _reference_enabled(world: World):
+    """Ground truth for the partition gate: rescan, then ``crosses``."""
+    partition = world.adversary.partition
+    return [
+        k for k in _rescan(world)
+        if partition is None or not partition.crosses(*k)
+    ]
+
+
+class TestIndexProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_index_gate_and_scheduler_match_references(self, seed):
+        """Random sends, deliveries, direct enqueues, partitions, heals
+        and mid-partition forks: the index, the gate and the
+        scheduler's selections agree with their rescanning references."""
+        rng = random.Random(seed)
+        world = World()
+        for pid in _PIDS:
+            world.add_process(_Echo(pid))
+        world.adversary = ChannelAdversary(
+            AdversaryConfig(
+                duplicate_probability=0.2,
+                reorder_probability=0.3,
+                max_duplicates=16,
+            ),
+            seed=seed,
+        )
+        reference = _SortingRoundRobin()
+        for _ in range(120):
+            roll = rng.random()
+            src, dst = rng.sample(_PIDS, 2)
+            if roll < 0.25:
+                world.enqueue_message(src, dst, Message.make("ping"))
+            elif roll < 0.35:
+                world.channel(src, dst).enqueue(Message.make("pong"))
+            elif roll < 0.45:
+                pending = world.undelivered_channels()
+                if pending:
+                    world.deliver(*rng.choice(pending))
+            elif roll < 0.52:
+                cut = rng.sample(_PIDS, rng.randint(1, 2))
+                world.adversary.start_partition(Partition.isolate(cut))
+            elif roll < 0.57:
+                world.adversary.heal_partition()
+            elif roll < 0.62:
+                # Continue on the fork half the time, the original
+                # otherwise, after driving the other twin a little:
+                # both must keep an exact index of their own.
+                clone = world.fork()
+                if rng.random() < 0.5:
+                    world, clone = clone, world
+                    reference = reference.clone()
+                clone.enqueue_message(src, dst, Message.make("pong"))
+                for key in clone.undelivered_channels()[:3]:
+                    clone.deliver(*key)
+                assert clone.undelivered_channels() == _rescan(clone)
+            else:
+                enabled = world.enabled_channels()
+                if enabled:
+                    expected = reference.select(world, list(enabled))
+                    record = world.step()
+                    assert (record.src, record.dst) == expected
+            assert world.undelivered_channels() == _rescan(world)
+            assert world.enabled_channels() == _reference_enabled(world)
 
 
 class TestTopologyCaches:

@@ -40,10 +40,8 @@ def test_triage_commands_parse():
         ["--ops", "0"],
         ["--n", "3", "--f", "2"],
         ["--byzantine", "3"],
-        ["--n", "4", "--f", "0"],
     ],
-    ids=["zero-seeds", "zero-ops", "no-majority", "byzantine-over-budget",
-         "lossy-without-crash-budget"],
+    ids=["zero-seeds", "zero-ops", "no-majority", "byzantine-over-budget"],
 )
 def test_chaos_bad_parameters_are_usage_errors(argv, capsys, tmp_path):
     code = main(
@@ -53,6 +51,22 @@ def test_chaos_bad_parameters_are_usage_errors(argv, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 3
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["1", "3", "4"])
+def test_chaos_without_crash_budget_runs(n, capsys, tmp_path):
+    """f=0 is a legitimate configuration: the lossy shapes have no
+    fault targets and simply drop nothing."""
+    report = tmp_path / "report.json"
+    code = main(
+        ["chaos", "--seeds", "1", "--ops", "4", "--no-cache", "--out", "",
+         "--n", n, "--f", "0", "--json", str(report)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["passed"] and doc["summary"]["failures"] == 0
+    assert doc["summary"]["runs"] == 30
 
 
 def test_replay_verb_matches_and_mismatches(capsys, tmp_path):
