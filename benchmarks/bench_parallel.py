@@ -206,10 +206,13 @@ def run_parallel_bench() -> dict:
 
     # Warm the persistent pool before timing it, so pool creation (paid
     # once per process, amortized across every later call) is not
-    # charged to the first measured campaign.
+    # charged to the first measured campaign, and run one untimed
+    # campaign on it so worker warm-up (imports, first-run caches) is
+    # not charged to the first points of the jobs-scaling curve.
     get_pool(max(JOBS_CURVE))
+    warmup, _ = _timed_campaign(jobs=max(JOBS_CURVE), **PARAMS)
 
-    byte_identical = True
+    byte_identical = warmup.format() == text_serial
     jobs_scaling = [
         {"jobs": 1, "wall_seconds": round(serial_wall, 4), "speedup": 1.0}
     ]

@@ -75,7 +75,8 @@ class Channel:
 
         Messages are immutable and shared; the queue itself is copied.
         The clone is wired to the *caller's* transition callback (a
-        forked World passes its own), never to the original's.
+        World cloning a channel it shares with a fork twin passes its
+        own), never to the original's.
         """
         duplicate = Channel(self.src, self.dst, notify)
         duplicate._queue.extend(self._queue)

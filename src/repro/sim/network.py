@@ -20,11 +20,29 @@ Hot-path design notes
 Forking and stepping dominate every executable proof and chaos
 campaign, so both avoid reflective work:
 
-* ``fork()`` uses the explicit clone protocol (``Process.clone``,
-  ``Channel.clone``, ``Scheduler.clone``, ``OperationRecord.clone``,
-  adversary ``clone``) instead of ``copy.deepcopy``;
-  :meth:`deepcopy_fork` keeps the old behaviour as the reference
+* ``fork()`` is copy-on-write.  The twins share every process and
+  channel object; each World clones a shared component (through the
+  explicit clone protocol, ``Process.clone``/``Channel.clone``) the
+  first time :meth:`World.process` or :meth:`World.channel` hands out
+  a handle to it, and records it in its ``_owned`` set.  Those two
+  methods are the only source of mutable handles, and every internal
+  mutation (``deliver``, ``enqueue_message``, ``invoke_*``, ``crash``,
+  ``recover``) goes through them, so a shared object is never
+  mutated.  ``World.processes``/``World.channels`` (and the objects
+  ``servers()``/``clients()`` return) are **read-only views**: mutate
+  a component only through ``process()``/``channel()``.  A handle
+  obtained before a ``fork()`` must not be mutated after it — it now
+  belongs to both twins.  Operation records, the scheduler, the
+  adversary and the small indexes are still copied eagerly;
+  :meth:`deepcopy_fork` keeps ``copy.deepcopy`` as the reference
   implementation for equivalence tests and benchmarks.
+* Because a shared component never changes, the World memoises the
+  digest entries of the components it does not own (``_digests``,
+  copied by ``fork()``, an entry dropped when the World takes
+  ownership); :func:`repro.sim.snapshot.world_digest` recomputes only
+  owned components.  Nothing is written on the enqueue/dequeue/handler
+  path: a never-forked World owns everything and pays one set
+  membership test per ``process()``/``channel()`` call.
 * The keys of non-empty channels live in one always-sorted list,
   maintained by ``bisect`` insert/delete in the channel transition
   callback (fired only when a queue crosses the empty/non-empty
@@ -36,15 +54,20 @@ campaign, so both avoid reflective work:
   lookups per key) only while ``adversary.partition`` is set.  The
   scheduler sees exactly the same sorted key list as a full rescan
   would give, so schedules are byte-identical.
-* ``servers()``/``clients()`` and ``pending_operations()`` are served
-  from caches invalidated at the (single) mutation points.
+* The sorted pid lists behind ``servers()``/``clients()`` and
+  ``world_digest`` are rebuilt only by :meth:`add_process`;
+  ``servers()``/``clients()`` resolve them against the current
+  process map on each call, so they never return a pre-clone object.
+  ``pending_operations()`` is served from an index maintained at the
+  (single) mutation points.
 """
 
 from __future__ import annotations
 
 import copy
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     DeadlockDetectedError,
@@ -69,8 +92,15 @@ class World:
     """A complete simulated system at some point of some execution."""
 
     def __init__(self, scheduler: Optional[Scheduler] = None) -> None:
-        self.processes: Dict[str, Process] = {}
-        self.channels: Dict[ChannelKey, Channel] = {}
+        self._processes: Dict[str, Process] = {}
+        self._channels: Dict[ChannelKey, Channel] = {}
+        #: Pids and channel keys whose objects belong to this World
+        #: alone and may be mutated in place; everything else is shared
+        #: with a fork twin (see the module docstring).
+        self._owned: Set = set()
+        #: Digest entries of components *not* in ``_owned``, keyed by
+        #: pid or channel key (filled by :mod:`repro.sim.snapshot`).
+        self._digests: Dict = {}
         self.scheduler: Scheduler = scheduler or RoundRobinScheduler()
         self.step_count = 0
         self.trace: List[ActionRecord] = []
@@ -80,9 +110,11 @@ class World:
         #: Keys of channels currently holding messages, kept sorted by
         #: :meth:`_channel_transition`.
         self._nonempty: List[ChannelKey] = []
-        #: Topology caches (invalidated by :meth:`add_process`).
-        self._servers_cache: Optional[List[ServerProcess]] = None
-        self._clients_cache: Optional[List[ClientProcess]] = None
+        #: Sorted pids (all, servers, clients).  Replaced, never
+        #: mutated, by :meth:`add_process`, so fork twins share them.
+        self._pids: List[str] = []
+        self._server_pids: List[str] = []
+        self._client_pids: List[str] = []
         #: Incomplete operations by op id, maintained by ``invoke_*``
         #: and :meth:`complete_operation` (insertion = invocation order).
         self._pending_ops: Dict[int, OperationRecord] = {}
@@ -101,48 +133,86 @@ class World:
 
     # -- topology ------------------------------------------------------------
 
+    @property
+    def processes(self) -> Mapping[str, Process]:
+        """Read-only view of the processes by id.
+
+        The objects may be shared with a fork twin: read them freely,
+        but take a mutable handle only through :meth:`process`.
+        """
+        return MappingProxyType(self._processes)
+
+    @property
+    def channels(self) -> Mapping[ChannelKey, Channel]:
+        """Read-only view of the channels created so far, by key.
+
+        The objects may be shared with a fork twin: read them freely,
+        but take a mutable handle only through :meth:`channel`.
+        """
+        return MappingProxyType(self._channels)
+
     def add_process(self, process: Process) -> Process:
         """Register a process; ids must be unique."""
-        if process.pid in self.processes:
-            raise SimulationError(f"duplicate process id {process.pid!r}")
-        self.processes[process.pid] = process
-        self._servers_cache = None
-        self._clients_cache = None
+        pid = process.pid
+        if pid in self._processes:
+            raise SimulationError(f"duplicate process id {pid!r}")
+        self._processes[pid] = process
+        self._owned.add(pid)
+        self._pids = sorted([*self._pids, pid])
+        if isinstance(process, ServerProcess):
+            self._server_pids = sorted([*self._server_pids, pid])
+        elif isinstance(process, ClientProcess):
+            self._client_pids = sorted([*self._client_pids, pid])
         return process
 
     def process(self, pid: str) -> Process:
-        """Look up a process by id."""
+        """A mutable handle on process ``pid``.
+
+        A process still shared with a fork twin is cloned into this
+        World first (copy-on-write), so mutating the handle never
+        affects the twin.
+        """
+        if pid in self._owned:
+            return self._processes[pid]
         try:
-            return self.processes[pid]
+            shared = self._processes[pid]
         except KeyError:
             raise UnknownProcessError(f"no process {pid!r}") from None
+        process = self._processes[pid] = shared.clone()
+        self._owned.add(pid)
+        self._digests.pop(pid, None)
+        return process
 
     def servers(self) -> List[ServerProcess]:
-        """All registered servers, sorted by id (cached)."""
-        if self._servers_cache is None:
-            self._servers_cache = sorted(
-                (p for p in self.processes.values() if isinstance(p, ServerProcess)),
-                key=lambda p: p.pid,
-            )
-        return list(self._servers_cache)
+        """All registered servers, sorted by id (read-only objects)."""
+        processes = self._processes
+        return [processes[pid] for pid in self._server_pids]  # type: ignore[misc]
 
     def clients(self) -> List[ClientProcess]:
-        """All registered clients, sorted by id (cached)."""
-        if self._clients_cache is None:
-            self._clients_cache = sorted(
-                (p for p in self.processes.values() if isinstance(p, ClientProcess)),
-                key=lambda p: p.pid,
-            )
-        return list(self._clients_cache)
+        """All registered clients, sorted by id (read-only objects)."""
+        processes = self._processes
+        return [processes[pid] for pid in self._client_pids]  # type: ignore[misc]
 
     def channel(self, src: str, dst: str) -> Channel:
-        """The channel src->dst, created lazily."""
+        """A mutable handle on the channel src->dst, created lazily.
+
+        A channel still shared with a fork twin is cloned into this
+        World first and wired to this World's non-empty index.
+        """
         key = (src, dst)
-        if key not in self.channels:
-            if src not in self.processes or dst not in self.processes:
+        if key in self._owned:
+            return self._channels[key]
+        shared = self._channels.get(key)
+        if shared is None:
+            if src not in self._processes or dst not in self._processes:
                 raise UnknownProcessError(f"channel endpoints {key} unknown")
-            self.channels[key] = Channel(src, dst, self._channel_transition)
-        return self.channels[key]
+            channel = Channel(src, dst, self._channel_transition)
+        else:
+            channel = shared.clone(self._channel_transition)
+            self._digests.pop(key, None)
+        self._channels[key] = channel
+        self._owned.add(key)
+        return channel
 
     def _channel_transition(self, channel: Channel, nonempty: bool) -> None:
         """Channel callback: keep the non-empty index in sync.
@@ -211,7 +281,7 @@ class World:
         keys = self._nonempty
         filtered = keys
         if channel_filter is not None:
-            channels = self.channels
+            channels = self._channels
             filtered = [
                 k
                 for k in filtered
@@ -463,19 +533,30 @@ class World:
         return list(self._pending_ops.values())
 
     def fork(self) -> "World":
-        """Copy the World at the current point (the fast clone path).
+        """Copy the World at the current point (copy-on-write).
 
-        The copy shares nothing mutable with the original: stepping one
-        never affects the other.  Used for valency probing and schedule
-        exploration, so it avoids ``copy.deepcopy``'s per-object
-        reflection via the explicit clone protocol (see the module
-        docstring).  Immutable values — messages, tags, action records,
-        codes — are shared between twins.  :meth:`deepcopy_fork` is the
-        reference implementation; the property tests in
-        ``tests/sim/test_fast_fork.py`` assert both produce observably
-        identical, causally independent Worlds.
+        The twin gets its own process and channel *maps* over the same
+        objects, and both twins, this one included, start owning
+        nothing: whichever side first asks :meth:`process` or
+        :meth:`channel` for a component clones it (see the module
+        docstring).  Stepping one twin therefore never affects the
+        other.  Operation records (callers hold them as handles), the
+        scheduler, the adversary and the pending/non-empty indexes are
+        copied eagerly; immutable values — messages, tags, action
+        records, codes, pid lists, digest entries — are shared.
+        :meth:`deepcopy_fork` is the reference implementation; the
+        property tests in ``tests/sim/test_fast_fork.py`` assert both
+        produce observably identical, causally independent Worlds.
         """
         clone = World.__new__(World)
+        clone._processes = dict(self._processes)
+        clone._channels = dict(self._channels)
+        clone._owned = set()
+        self._owned.clear()
+        clone._digests = dict(self._digests)
+        clone._pids = self._pids
+        clone._server_pids = self._server_pids
+        clone._client_pids = self._client_pids
         clone.scheduler = self.scheduler.clone()
         clone.step_count = self.step_count
         clone.trace = list(self.trace)  # ActionRecords are frozen: share
@@ -492,16 +573,7 @@ class World:
         # uninstrumented fork path free (guarded by the perf guard's
         # tracing-off budget).
         clone.obs = copy.deepcopy(self.obs) if self.obs else self.obs
-        clone.processes = {
-            pid: process.clone() for pid, process in self.processes.items()
-        }
-        clone.channels = {}
-        notify = clone._channel_transition
-        for key, channel in self.channels.items():
-            clone.channels[key] = channel.clone(notify)
         clone._nonempty = list(self._nonempty)
-        clone._servers_cache = None
-        clone._clients_cache = None
         # op_id == index in ``operations`` (enforced by invoke_*), so the
         # pending index can be rebuilt against the cloned records.
         clone._pending_ops = {
@@ -525,6 +597,6 @@ class World:
 
     def __repr__(self) -> str:
         return (
-            f"World(step={self.step_count}, processes={len(self.processes)}, "
-            f"in_flight={sum(len(c) for c in self.channels.values())})"
+            f"World(step={self.step_count}, processes={len(self._processes)}, "
+            f"in_flight={sum(len(c) for c in self._channels.values())})"
         )

@@ -128,10 +128,6 @@ class ScheduleExplorer:
     deliveries.  It is automatically disabled when the World carries a
     channel adversary (whose per-delivery random fates break
     commutation).
-
-    ``fork_fn`` overrides how child states are forked — the benchmark
-    harness passes ``World.deepcopy_fork`` to measure the legacy path;
-    everything else should leave the default (``World.fork``).
     """
 
     def __init__(
@@ -143,7 +139,6 @@ class ScheduleExplorer:
         followups: Optional[Sequence[Tuple[int, Callable[[World], None]]]] = None,
         stop_at_first_violation: bool = False,
         por: bool = False,
-        fork_fn: Optional[Callable[[World], World]] = None,
     ) -> None:
         self.checker = checker or (lambda ops: check_atomicity(ops).ok)
         self.max_states = max_states
@@ -152,7 +147,6 @@ class ScheduleExplorer:
         self.followups = list(followups or [])
         self.stop_at_first_violation = stop_at_first_violation
         self.por = por
-        self.fork_fn = fork_fn or World.fork
 
     def _fire_followups(self, state: World, base_ops: int) -> None:
         for i, (trigger, invoke) in enumerate(self.followups):
@@ -172,11 +166,10 @@ class ScheduleExplorer:
         )
         #: digest -> intersection of the sleep sets it was explored with.
         visited: Dict[tuple, set] = {}
-        fork = self.fork_fn
 
         # Tracing costs memory per fork and the schedule path already
         # identifies executions; turn it off for the search.
-        world = fork(world)
+        world = world.fork()
         world.record_trace = False
         base_ops = len(world.operations)
 
@@ -242,7 +235,7 @@ class ScheduleExplorer:
                 # The parent state is dead after its final branch, so the
                 # last child mutates it in place instead of forking — on
                 # non-branching chains this eliminates forking entirely.
-                child = state if index == last else fork(state)
+                child = state if index == last else state.fork()
                 child.deliver(*key_choice)
                 if por_active:
                     child_sleep = frozenset(
